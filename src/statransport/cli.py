@@ -5,7 +5,7 @@ Four subcommands: design (synthesize and save a protocol), evaluate
 (canned parameter studies with CSV + JSON output), qverify (split-operator
 cross-check of a protocol).  Every run drops a manifest JSON next to its
 outputs recording the exact parameters, so a run can be replayed from the
-manifest alone.  Set STA_THREADS to cap sweep parallelism (0 = auto).
+manifest alone.
 
 Exit codes: 0 on success, 1 when a verification tolerance fails, 2 for
 invalid inputs or internal consistency errors.
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sta-transport",
         description="Design and verify excitation-free harmonic transport protocols.",
-        epilog="STA_THREADS caps sweep worker threads (0 or unset = auto).",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

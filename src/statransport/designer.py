@@ -166,6 +166,18 @@ def _exact_tables(n: int):
     return tuple(terms)
 
 
+@lru_cache(maxsize=None)
+def _endpoint_values(n: int):
+    """Exact xterm(0), xterm(1), vterm(0), vterm(1) of each term j = 0..n.
+
+    They depend on n alone, so every build shares one evaluation.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    return tuple(
+        (xterm(zero), xterm(one), vterm(zero), vterm(one)) for _, vterm, xterm in _exact_tables(n)
+    )
+
+
 def make_auxiliary(spec: TransportSpec) -> AuxiliaryFunction:
     dspec = spec.dimensionless()
     n = dspec.n_points
@@ -327,15 +339,14 @@ def endpoint_residuals(protocol: TransportProtocol) -> dict:
     """
     dspec = protocol.dspec
     scales = _term_scales(protocol.aux, protocol.pj, dspec.t_f)
-    terms = _exact_tables(protocol.aux.n_points)
     tf2 = Fraction(dspec.t_f) ** 2
     x_start = v_start = v_end = x_end = Fraction(0)
-    for c, (_, vterm, xterm) in zip(scales, terms):
+    for c, (x0, x1, v0, v1) in zip(scales, _endpoint_values(protocol.aux.n_points)):
         fc = Fraction(c)
-        x_start += fc * xterm(Fraction(0))
-        x_end += fc * xterm(Fraction(1))
-        v_start += fc * vterm(Fraction(0))
-        v_end += fc * vterm(Fraction(1))
+        x_start += fc * x0
+        x_end += fc * x1
+        v_start += fc * v0
+        v_end += fc * v1
     return {
         "x_start": float(tf2 * x_start),
         "x_end": float(tf2 * x_end - Fraction(dspec.d)),

@@ -2,16 +2,23 @@
 
 Everything here reduces to one oscillatory integral,
 
-    I(W) = int_0^1 p(s) exp(-i W s) ds,        W = omega * t_f,
+    I(W) = int_0^1 p(s) exp(-i W s) ds,        W = omega * t_f.
 
-evaluated two ways: an endpoint (integration-by-parts) expansion that is
-accurate for large W, and a Maclaurin moment series for small W.  Both are
-assembled with compensated sums and carry cheap error predictors, so the
-switch between them is driven by the predicted rounding error rather than
-by a fixed crossover alone.  The final excitation energy itself is computed
-through the factorized form |prod_i (w_i^2 - omega^2)| * |envelope|, which
-keeps the design zeros exact in structure instead of asking a collapsed
-polynomial to cancel fifteen digits.
+Single probes (final_excitation, fourier_factorized, excitation_curve and
+the collapsed diagnostics) evaluate it two ways: an endpoint
+(integration-by-parts) expansion that is accurate for large W, and a
+Maclaurin moment series for small W.  Both are assembled with compensated
+sums and carry cheap error predictors, so the switch between them is driven
+by the predicted rounding error rather than by a fixed crossover alone.
+The final excitation energy itself is computed through the factorized form
+|prod_i (w_i^2 - omega^2)| * |envelope|, which keeps the design zeros exact
+in structure instead of asking a collapsed polynomial to cancel fifteen
+digits.
+
+Band averages (lambda_metric) take the envelope from its closed form
+instead: for the auxiliary shape g, I_g(W) = i (2N)! exp(-i W/2)
+j_(2N+1)(W/2) / W^(2N) (DLMF 10.54.2), one spherical-Bessel evaluation over
+all quadrature nodes at once.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy.special import spherical_jn
 
 from .designer import TransportProtocol, _exact_tables, _term_scales
 from .errors import AccuracyWarning, ResolutionWarning, SpecError
@@ -50,7 +58,9 @@ class _OscillatoryForm:
     """Cached tables for int_0^1 p(s) exp(-i W s) ds at many W.
 
     d0/d1 hold the derivative values p^(k)(0), p^(k)(1); s01 their absolute
-    counterparts for the error predictor.  Moments are grown lazily.
+    counterparts for the error predictor.  Moments are grown lazily; a
+    longer table is built aside and published in one assignment, so threads
+    sharing a form never see the two moment lists at different lengths.
     """
 
     def __init__(self, coeffs):
@@ -66,14 +76,18 @@ class _OscillatoryForm:
             s1.append(math.fsum(abs(p) for p in parts))
         self.d1 = d1
         self.s01 = [abs(a) + b for a, b in zip(self.d0, s1)]
-        self._mom = []
-        self._mom_abs = []
+        self._moments = ((), ())
 
     def _extend_moments(self, n):
-        while len(self._mom) <= n:
-            k = len(self._mom)
-            self._mom.append(math.fsum(c / (k + m + 1) for m, c in enumerate(self.coeffs)))
-            self._mom_abs.append(math.fsum(abs(c) / (k + m + 1) for m, c in enumerate(self.coeffs)))
+        """(moments, absolute moments), each holding at least orders 0..n."""
+        mom, mom_abs = self._moments
+        if len(mom) <= n:
+            mom, mom_abs = list(mom), list(mom_abs)
+            for k in range(len(mom), n + 1):
+                mom.append(math.fsum(c / (k + m + 1) for m, c in enumerate(self.coeffs)))
+                mom_abs.append(math.fsum(abs(c) / (k + m + 1) for m, c in enumerate(self.coeffs)))
+            self._moments = mom, mom_abs = tuple(mom), tuple(mom_abs)
+        return mom, mom_abs
 
     # -- error predictors ----------------------------------------------------
 
@@ -87,12 +101,12 @@ class _OscillatoryForm:
         return _EPS * worst
 
     def _est_series(self, w: float, nmax: int) -> float:
-        self._extend_moments(nmax)
+        _, mom_abs = self._extend_moments(nmax)
         aw = abs(w)
         pw = 1.0
         worst = 0.0
         for n in range(nmax + 1):
-            worst = max(worst, pw * self._mom_abs[n])
+            worst = max(worst, pw * mom_abs[n])
             if n < nmax:
                 pw *= aw / (n + 1)
         return _EPS * worst
@@ -101,12 +115,12 @@ class _OscillatoryForm:
 
     def _series(self, w: float) -> complex:
         nmax = min(300, int(abs(w)) + 60)
-        self._extend_moments(nmax)
+        mom, _ = self._extend_moments(nmax)
         re, im = [], []
         pw = 1.0  # |w|^n / n!
         sign_w = 1.0 if w >= 0 else -1.0
         for n in range(nmax + 1):
-            mag = pw * self._mom[n]
+            mag = pw * mom[n]
             # (-i w)^n cycles through 1, -i, -1, +i for w > 0
             q = n % 4
             if q == 0:
@@ -139,8 +153,7 @@ class _OscillatoryForm:
 
     def integral(self, w: float) -> complex:
         if w == 0.0:
-            self._extend_moments(0)
-            return complex(self._mom[0], 0.0)
+            return complex(self._extend_moments(0)[0][0], 0.0)
         if abs(w) < _SERIES_ALWAYS_BELOW:
             return self._series(w)
         nmax = min(300, int(abs(w)) + 60)
@@ -385,13 +398,56 @@ def _gauss_nodes(n: int):
     return x, w
 
 
+_BESSEL_FROM = 1.0  # below this W the Maclaurin series replaces spherical_jn / W^(2N)
+
+
+@lru_cache(maxsize=None)
+def _envelope_series(n: int):
+    """Maclaurin coefficients of |I_g(W)| / W in powers of W^2, highest first.
+
+    From j_m(x) = x^m sum_k (-x^2/2)^k / (k! (2m+2k+1)!!) with m = 2n+1,
+    x = W/2.  For W < 1 each term is below 1/56 of the one before, so 12
+    terms reach far below double rounding.
+    """
+    lead = math.factorial(2 * n) / 2 ** (2 * n + 1)
+    out = []
+    dfact = math.prod(range(1, 4 * n + 4, 2))  # (4n+3)!!
+    for k in range(12):
+        out.append(lead * (-1.0 / 8.0) ** k / (math.factorial(k) * dfact))
+        dfact *= 4 * n + 2 * k + 5
+    return out[::-1]
+
+
+def _envelope_abs(n: int, w: np.ndarray) -> np.ndarray:
+    """|I_g(W)| = |int_0^1 g(s) exp(-i W s) ds| for W > 0, all W at once.
+
+    g = d/ds [s(1-s)]^(2n+1) / (2n+1), so DLMF 10.54.2 gives the closed
+    form I_g(W) = i (2n)! exp(-i W/2) j_(2n+1)(W/2) / W^(2n).  Below W = 1
+    its Maclaurin series takes over, which never divides by W^(2n) (that
+    power underflows as W -> 0).
+    """
+    w = np.asarray(w, dtype=float)
+    out = np.empty_like(w)
+    small = w < _BESSEL_FROM
+    if small.any():
+        ws = w[small]
+        out[small] = ws * np.polyval(_envelope_series(n), ws * ws)  # first term dominates: > 0
+    big = ~small
+    if big.any():
+        wb = w[big]
+        out[big] = math.factorial(2 * n) * np.abs(spherical_jn(2 * n + 1, 0.5 * wb)) / wb ** (2 * n)
+    return out
+
+
 def lambda_metric(protocol: TransportProtocol, omega0: float, eta: float, n_quad: int = 16) -> float:
     """Band-averaged excitation around omega0 with half-width eta.
 
     Lambda = (1 / (2 omega0 eta)) * int |F(w)|^2 / (2 omega0) dw over
     [omega0 (1 - eta), omega0 (1 + eta)], in quanta of omega0.  Composite
     Gauss-Legendre over 8 panels, node count doubled until the value is
-    stable to 1e-8 relative.
+    stable to 1e-8 relative.  Each node set is one array: |F|^2 =
+    prod_i (w_i^2 - omega^2)^2 * (norm t_f)^2 * |I_g(omega t_f)|^2 with the
+    envelope from its closed form.
     """
     if not (omega0 > 0):
         raise SpecError("omega0 must be positive")
@@ -406,17 +462,21 @@ def lambda_metric(protocol: TransportProtocol, omega0: float, eta: float, n_quad
     edges = np.linspace(lo, hi, 9)
     inv_norm = 1.0 / (2.0 * omega0 * eta * 2.0 * omega0)
 
+    mids = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    halves = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    tf = protocol.dspec.t_f
+    scale = (protocol.aux.norm * tf) ** 2
+    n_points = protocol.aux.n_points
+
     def composite(n: int) -> float:
         x, w = _gauss_nodes(n)
-        acc = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            for xi_, wi_ in zip(x, w):
-                om = mid + half * xi_
-                mag = fourier_factorized(protocol, om)
-                acc.append(half * wi_ * mag * mag)
-        return math.fsum(acc) * inv_norm
+        om = (mids + halves * x).ravel()
+        zeros = np.ones_like(om)
+        for wi in protocol.dspec.freqs:
+            zeros *= (wi - om) * (wi + om)
+        env = _envelope_abs(n_points, om * tf)
+        vals = (halves * w).ravel() * (zeros * zeros) * (env * env) * scale
+        return math.fsum(vals.tolist()) * inv_norm
 
     prev = composite(n_quad)
     n = n_quad

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -93,19 +91,6 @@ def _pattern_for(pattern_kind, epsilon: float, n_points=None) -> PlacementPatter
     return PlacementPattern(kind=pattern_kind, epsilon=epsilon, n_points=n_points)
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("STA_THREADS", "0")
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise SpecError(f"STA_THREADS must be an integer, got {raw!r}")
-    if requested < 0:
-        raise SpecError("STA_THREADS must be >= 0")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, n_jobs))
-
-
 @dataclass(frozen=True)
 class SweepResult:
     pattern_kind: str
@@ -154,18 +139,12 @@ def sweep_epsilon(pattern_kind, spec_base: TransportSpec, omega0: float, eta: fl
     if kind == "one_point":
         raise SpecError("one_point has no spacing to sweep")
 
-    def job(eps: float) -> float:
+    lambdas = []
+    for eps in eps_grid:
         try:
-            return _lambda_for(pattern_kind, spec_base, omega0, eta, eps, n_points)
+            lambdas.append(_lambda_for(pattern_kind, spec_base, omega0, eta, eps, n_points))
         except Exception as err:
             raise type(err)(f"at epsilon={eps:.6g}: {err}") from err
-
-    workers = _worker_count(len(eps_grid))
-    if workers == 1:
-        lambdas = [job(e) for e in eps_grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lambdas = list(pool.map(job, eps_grid))
     return SweepResult(
         pattern_kind=kind,
         omega0=omega0,

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from statransport.designer import (
+    _exact_tables,
+    _term_scales,
     PhysicalUnits,
     TransportSpec,
     build_trajectory,
@@ -19,6 +21,7 @@ from statransport.designer import (
     verify_boundary_conditions,
 )
 from statransport.errors import ConsistencyError, SpecError
+from statransport.polycalc import MAX_POINTS
 
 freq_lists = st.lists(
     st.floats(min_value=0.3, max_value=3.0), min_size=1, max_size=4
@@ -87,6 +90,39 @@ def test_reflection_symmetry(spec, s):
     total = exact_position(p, s) + exact_position(p, Fraction(1) - s)
     err = float(total - Fraction(spec.d))
     assert abs(err) <= 1e-13 * max(abs(spec.d), 1.0)
+
+
+def _horner_residuals(protocol):
+    """endpoint_residuals with every term polynomial evaluated by Fraction Horner."""
+    dspec = protocol.dspec
+    scales = _term_scales(protocol.aux, protocol.pj, dspec.t_f)
+    tf2 = Fraction(dspec.t_f) ** 2
+    x_start = v_start = v_end = x_end = Fraction(0)
+    for c, (_, vterm, xterm) in zip(scales, _exact_tables(protocol.aux.n_points)):
+        fc = Fraction(c)
+        x_start += fc * xterm(Fraction(0))
+        x_end += fc * xterm(Fraction(1))
+        v_start += fc * vterm(Fraction(0))
+        v_end += fc * vterm(Fraction(1))
+    return {
+        "x_start": float(tf2 * x_start),
+        "x_end": float(tf2 * x_end - Fraction(dspec.d)),
+        "v_start": float(tf2 * v_start),
+        "v_end": float(tf2 * v_end),
+    }
+
+
+def test_endpoint_residuals_match_horner():
+    rng = np.random.default_rng(11)
+    for n in range(1, MAX_POINTS + 1):
+        for _ in range(5):
+            spec = TransportSpec(
+                d=float(rng.uniform(-100.0, 100.0)),
+                t_f=float(rng.uniform(0.5, 50.0)),
+                freqs=tuple(float(f) for f in rng.uniform(0.3, 3.0, size=n)),
+            )
+            p = build_trajectory(spec)
+            assert endpoint_residuals(p) == _horner_residuals(p)
 
 
 def test_collapsed_polynomials_track_design():

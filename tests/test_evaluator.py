@@ -1,6 +1,9 @@
 import cmath
 import math
+import sys
+import threading
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -8,7 +11,10 @@ from scipy.integrate import simpson
 from statransport.designer import PhysicalUnits, TransportSpec, build_trajectory
 from statransport.errors import ResolutionWarning, SpecError
 from statransport.evaluator import (
+    _envelope_abs,
+    _gauss_nodes,
     _osc_form,
+    _OscillatoryForm,
     classical_simulate,
     complex_amplitude,
     excitation_curve,
@@ -19,6 +25,8 @@ from statransport.evaluator import (
     fourier_factorized,
     lambda_metric,
 )
+from statransport.optimizer import PlacementPattern
+from statransport.polycalc import MAX_POINTS
 
 
 def _protocol(freqs, tf=3.0, d=1.0):
@@ -60,6 +68,57 @@ def test_routes_agree_against_dense_quadrature():
         want = complex(simpson(ker.real, x=s), simpson(ker.imag, x=s))
         got = form.integral(w)
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-6)
+
+
+def test_moment_growth_is_thread_safe():
+    # threads sharing one form grow its moment tables at once; each must see
+    # complete tables and the single-threaded values, bit for bit
+    coeffs = tuple(float(c) for c in _protocol((1.0,) * 3).aux.base.coeffs)
+    ws = [0.5 + 0.75 * k for k in range(320)]  # moment order int(w) + 60 climbs to 300
+    serial = _OscillatoryForm(coeffs)
+    want = [serial.integral(w) for w in ws]
+    shared = _OscillatoryForm(coeffs)
+    results, errors = {}, []
+
+    def walk(k):
+        try:
+            results[k] = [shared.integral(w) for w in ws]
+        except BaseException as err:  # reported below, not lost in the thread
+            errors.append(err)
+
+    threads = [threading.Thread(target=walk, args=(k,), daemon=True) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(results[k] == want for k in range(8))
+    assert shared._extend_moments(300) == serial._extend_moments(300)
+
+
+# -- closed-form envelope ---------------------------------------------------------
+
+
+def test_bessel_envelope_matches_quadrature():
+    # 50-digit quadrature of the unexpanded g = s^2N (1-s)^2N (1-2s)
+    ws = [1e-4, 0.01, 0.3, 0.999, 1.001, 2.5, 7.0, 20.0, 70.0, 200.0]
+    with mpmath.workdps(50):
+        for n in range(1, MAX_POINTS + 1):
+            got = _envelope_abs(n, np.array(ws))
+            for w, value in zip(ws, got):
+                wm = mpmath.mpf(w)
+                want = abs(mpmath.quad(
+                    lambda s: s ** (2 * n) * (1 - s) ** (2 * n) * (1 - 2 * s) * mpmath.expj(-wm * s),
+                    mpmath.linspace(0, 1, int(w / 4) + 2),
+                    method="gauss-legendre",
+                ))
+                assert abs(value - want) <= 1e-12 * want, (n, w)
 
 
 # -- transform of the trap acceleration ----------------------------------------
@@ -226,6 +285,50 @@ def test_lambda_matches_direct_quadrature():
     f2 = np.array([fourier_factorized(p, w) ** 2 for w in ws])
     want = simpson(f2, x=ws) / (2.0 * omega0 * eta) / (2.0 * omega0)
     assert lambda_metric(p, omega0, eta) == pytest.approx(want, rel=1e-8)
+
+
+def _pointwise_lambda(protocol, omega0, eta, n_quad=16):
+    """The band average probe by probe through fourier_factorized.
+
+    Same panels, node counts and stopping rule as lambda_metric; only the
+    envelope route differs (the endpoint/moment expansion here).
+    """
+    edges = np.linspace(omega0 * (1.0 - eta), omega0 * (1.0 + eta), 9)
+    inv_norm = 1.0 / (2.0 * omega0 * eta * 2.0 * omega0)
+
+    def composite(n):
+        x, w = _gauss_nodes(n)
+        acc = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            for xi_, wi_ in zip(x, w):
+                mag = fourier_factorized(protocol, mid + half * xi_)
+                acc.append(half * wi_ * mag * mag)
+        return math.fsum(acc) * inv_norm
+
+    prev, n = composite(n_quad), n_quad
+    for _ in range(6):
+        n *= 2
+        cur = composite(n)
+        if abs(cur - prev) <= 1e-8 * abs(cur):
+            break
+        prev = cur
+    return cur
+
+
+@pytest.mark.parametrize("kind, n_points", [
+    ("one_point", None), ("two_point", None), ("three_point", None), ("symmetric_n", 4),
+])
+def test_lambda_matches_pointwise_composite(kind, n_points):
+    # t_f from 2 pi * 1.25 on: at shorter t_f the expansion itself is off
+    # by up to 1.7e-9 for N = 4 (W ~ 3), while the closed form holds 1e-14
+    for tf in (2 * math.pi * 1.25, 2 * math.pi * 1.8, 2 * math.pi * 2.5):
+        for eps, eta in ((0.0, 0.02), (0.01, 0.04), (0.03, 0.03)):
+            eps = 0.0 if kind == "one_point" else eps
+            freqs = PlacementPattern(kind, eps, n_points).frequencies(1.0)
+            p = _protocol(freqs, tf=tf, d=7.0)
+            want = _pointwise_lambda(p, 1.0, eta)
+            assert lambda_metric(p, 1.0, eta) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_lambda_scales_with_d_squared():

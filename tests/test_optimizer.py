@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from statransport.designer import TransportSpec
+from statransport.designer import TransportSpec, build_trajectory
 from statransport.errors import BracketWarning, SpecError
+from statransport.evaluator import lambda_metric
 from statransport.optimizer import (
     DEFAULT_EPS_GRID,
     OptimizationResult,
@@ -80,14 +83,20 @@ def test_sweep_reports_offending_epsilon():
         sweep_epsilon("two_point", BASE, -1.0, 0.02, eps_grid=(0.01,))
 
 
-def test_sweep_deterministic_across_thread_counts(monkeypatch):
+def test_sweep_equals_pointwise_lambda_metric(monkeypatch):
+    # the sweep is a plain loop: the retired STA_THREADS setting is ignored
+    monkeypatch.setenv("STA_THREADS", "abc")
     grid = (0.0, 0.01, 0.02, 0.03)
-    monkeypatch.setenv("STA_THREADS", "1")
-    serial = sweep_epsilon("two_point", BASE, 1.0, 0.05, eps_grid=grid)
-    monkeypatch.setenv("STA_THREADS", "4")
-    threaded = sweep_epsilon("two_point", BASE, 1.0, 0.05, eps_grid=grid)
-    assert serial.lambdas == threaded.lambdas
-    assert serial.epsilons == grid
+    sweep = sweep_epsilon("two_point", BASE, 1.0, 0.05, eps_grid=grid)
+    want = tuple(
+        lambda_metric(
+            build_trajectory(replace(BASE, freqs=PlacementPattern("two_point", e).frequencies(1.0))),
+            1.0, 0.05,
+        )
+        for e in grid
+    )
+    assert sweep.lambdas == want
+    assert sweep.epsilons == grid
 
 
 def test_sweep_best_and_csv(tmp_path):
@@ -99,15 +108,6 @@ def test_sweep_best_and_csv(tmp_path):
     sweep.to_csv(path)
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], np.array(sweep.epsilons))
-
-
-def test_worker_count_env_validation(monkeypatch):
-    monkeypatch.setenv("STA_THREADS", "abc")
-    with pytest.raises(SpecError):
-        sweep_epsilon("two_point", BASE, 1.0, 0.05, eps_grid=(0.0, 0.01))
-    monkeypatch.setenv("STA_THREADS", "-2")
-    with pytest.raises(SpecError):
-        sweep_epsilon("two_point", BASE, 1.0, 0.05, eps_grid=(0.0, 0.01))
 
 
 def test_optimize_finds_interior_minimum():
