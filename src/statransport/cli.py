@@ -16,10 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import constants
 
 from . import __version__
@@ -57,7 +60,8 @@ def _jsonable(value):
     return value
 
 
-def _write_manifest(directory: Path, command: str, args: argparse.Namespace, outputs) -> Path:
+def _write_manifest(directory: Path, command: str, args: argparse.Namespace, outputs,
+                    run=None) -> Path:
     params = {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "command": command,
@@ -66,6 +70,8 @@ def _write_manifest(directory: Path, command: str, args: argparse.Namespace, out
         "params": params,
         "outputs": sorted(str(p) for p in outputs),
     }
+    if run is not None:
+        manifest["run"] = run
     path = directory / f"{command}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -277,11 +283,18 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_qverify(args) -> int:
+    t0 = time.perf_counter()
     protocol = load_protocol(args.protocol)
+    d_stored = protocol.dspec.d
     if args.d_scale is not None:
         scale = 1.0 if protocol.spec.units is None else protocol.spec.units.length_scale
         protocol = rescaled(protocol, d=args.d_scale * scale)
     report = verification_report(protocol, args.omega, n_points=args.n, dt=args.dt)
+    d_sim = report["d"]
+    # the residual excitation scales exactly as d^2
+    lift = (d_stored / d_sim) ** 2 if d_sim != 0.0 else None
+    report["d_stored"] = d_stored
+    report["d_lift"] = lift
 
     ok = report["fidelity_vs_analytic"] >= 1.0 - 1e-5
     rel = report["quantum_classical_rel_err"]
@@ -292,10 +305,21 @@ def cmd_qverify(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    manifest = _write_manifest(out.parent, "qverify", args, [out])
+    run = {
+        "wall_s": time.perf_counter() - t0,
+        "fft_pairs": report["fft_pairs"],
+        "n_points": report["n_points"],
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    manifest = _write_manifest(out.parent, "qverify", args, [out], run=run)
 
     print(f"report: {out}")
     print(f"manifest: {manifest}")
+    print(f"distance: simulated d = {d_sim!r}, stored d = {d_stored!r}, "
+          f"lift (d_stored/d_sim)^2 = {lift!r}")
+    print(f"grid: {report['n_points']} points, {report['fft_pairs']} FFT pairs at dt = {report['dt']!r}")
     print(f"final energy: {report['final_energy_quanta']!r} quanta at omega = {args.omega!r}")
     print(f"excitation: {report['delta_e_quanta']!r} quanta (classical {report['classical_delta_e_quanta']!r})")
     print(f"fidelity vs analytic: {report['fidelity_vs_analytic']!r}")
@@ -353,8 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--d-scale", type=float, default=20.0,
                    help="rebuild at this distance in oscillator lengths before simulating")
-    p.add_argument("--n", type=int, default=4096, help="grid points (power of two)")
-    p.add_argument("--dt", type=float, default=0.002)
+    p.add_argument("--n", type=int, help="grid points, a power of two (default: sized from "
+                   "the classical path)")
+    p.add_argument("--dt", type=float, help="split-operator step (default: min(0.02, 0.02/omega), "
+                   "shorter for fast transports)")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_qverify)
 

@@ -127,6 +127,30 @@ def test_qverify_roundtrip(tmp_path, capsys):
     assert report["fidelity_vs_analytic"] >= 1.0 - 1e-5
 
 
+def test_qverify_defaults_report_distance_and_run(tmp_path, capsys):
+    proto = _design(tmp_path)
+    report_path = tmp_path / "report.json"
+    argv = [
+        "qverify", "--protocol", str(proto), "--omega", "1.05",
+        "--d-scale", "8.0", "--out", str(report_path),
+    ]
+    assert main(argv) == 0
+    captured = capsys.readouterr().out
+    assert "simulated d = 8.0, stored d = 1.0" in captured
+    report = json.loads(report_path.read_text())
+    assert report["d"] == 8.0
+    assert report["d_stored"] == 1.0
+    assert report["d_lift"] == pytest.approx(1.0 / 64.0)
+    assert report["dt"] <= 0.02 / 1.05
+    manifest = json.loads((tmp_path / "qverify_manifest.json").read_text())
+    assert manifest["params"]["n"] is None and manifest["params"]["dt"] is None
+    run = manifest["run"]
+    assert run["fft_pairs"] == report["fft_pairs"] > 0
+    assert run["n_points"] == report["n_points"]
+    assert run["wall_s"] > 0.0
+    assert {"python", "numpy", "scipy"} <= set(run)
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

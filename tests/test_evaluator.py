@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 import sys
 import threading
 
@@ -8,13 +9,21 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from statransport.designer import PhysicalUnits, TransportSpec, build_trajectory
+from statransport.designer import (
+    PhysicalUnits,
+    TransportSpec,
+    _exact_tables,
+    _term_scales,
+    build_trajectory,
+)
 from statransport.errors import ResolutionWarning, SpecError
 from statransport.evaluator import (
     _envelope_abs,
     _gauss_nodes,
     _osc_form,
+    _mirrored_samples,
     _OscillatoryForm,
+    _structured_samples,
     classical_simulate,
     complex_amplitude,
     excitation_curve,
@@ -247,6 +256,62 @@ def test_classical_starts_from_rest():
     assert res.xi[0] == 0.0 and res.xi_dot[0] == 0.0
     assert res.quanta[0] == 0.0
     assert res.states.shape == (1001, 3)
+
+
+def _rk4_loop(protocol, omega, n_steps):
+    """The classical oracle as a per-step RK4 loop, kept as the reference."""
+    tf = protocol.dspec.t_f
+    forcing = -_mirrored_samples(protocol, 2 * n_steps + 1, 0)
+    h = tf / n_steps
+    w2 = omega * omega
+    xi = np.zeros(n_steps + 1)
+    xd = np.zeros(n_steps + 1)
+    x, v = 0.0, 0.0
+    for k in range(n_steps):
+        f0, fh, f1 = forcing[2 * k], forcing[2 * k + 1], forcing[2 * k + 2]
+        k1x = v
+        k1v = -w2 * x + f0
+        k2x = v + 0.5 * h * k1v
+        k2v = -w2 * (x + 0.5 * h * k1x) + fh
+        k3x = v + 0.5 * h * k2v
+        k3v = -w2 * (x + 0.5 * h * k2x) + fh
+        k4x = v + h * k3v
+        k4v = -w2 * (x + h * k3x) + f1
+        x += h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+        xi[k + 1] = x
+        xd[k + 1] = v
+    return xi, xd
+
+
+@pytest.mark.parametrize("m", [201, 202])
+def test_mirrored_samples_match_exact_trajectory(m):
+    # a0 is odd and v0 even about the midpoint, so the first half of the
+    # grid gives every sample; checked against exact rational evaluation
+    s = np.linspace(0.0, 1.0, m)
+    picks = np.arange(0, m, 10).tolist() + [m - 1]
+    for freqs in ((1.0,), (0.98, 1.02), (0.95, 1.0, 1.05), (0.9, 0.97, 1.03, 1.1)):
+        p = _protocol(freqs, tf=2.5 * math.pi, d=30.0)
+        scales = [Fraction(c) for c in _term_scales(p.aux, p.pj, p.dspec.t_f)]
+        for which in (0, 1):
+            got = _mirrored_samples(p, m, which)
+            exact = [
+                float(sum(c * terms[which](Fraction(s[i]))
+                          for c, terms in zip(scales, _exact_tables(len(freqs))))
+                      * (Fraction(p.dspec.t_f) if which else 1))
+                for i in picks
+            ]
+            assert np.max(np.abs(got[picks] - exact)) <= 1e-13 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("freqs", [(1.0,), (0.95, 1.0, 1.05), (0.9, 0.97, 1.03, 1.1)])
+def test_rk4_recurrence_matches_step_loop(freqs):
+    p = _protocol(freqs, tf=2.5 * math.pi, d=30.0)
+    for w in (0.7, 1.02, 1.4):
+        res = classical_simulate(p, w, n_steps=4000)
+        xi, xd = _rk4_loop(p, w, 4000)
+        assert np.max(np.abs(res.xi - xi)) <= 1e-12 * np.max(np.abs(xi))
+        assert np.max(np.abs(res.xi_dot - xd)) <= 1e-12 * np.max(np.abs(xd))
 
 
 def test_classical_csv(tmp_path):

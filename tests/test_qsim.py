@@ -5,6 +5,7 @@ import pytest
 
 from statransport.designer import TransportSpec, build_trajectory
 from statransport.errors import BoundaryLeakError, GridError, SpecError
+from statransport.evaluator import classical_simulate, final_excitation
 from statransport.qsim import (
     SpatialGrid,
     analytic_solution,
@@ -80,7 +81,8 @@ def test_displaced_packet_energy_and_static_history():
     # while the undriven ground state's recorded energy never moves
     p = _static(tf=math.pi / 2.0)
     history = []
-    out = propagate(p, GRID, 1.0, history=history, record_every=200)
+    out = propagate(p, GRID, 1.0, history=history, record_every=20)
+    assert len(history) >= 5
     assert all(abs(e - 0.5) < 1e-8 for _, e in history)
     assert out.t == pytest.approx(math.pi / 2.0)
 
@@ -89,7 +91,7 @@ def test_propagate_records_history_endpoints():
     p = _transport()
     grid = make_grid(p, 1.0)
     history = []
-    propagate(p, grid, 1.0, history=history, record_every=500)
+    propagate(p, grid, 1.0, history=history, record_every=50)
     assert history[0][0] == 0.0
     assert history[-1][0] == pytest.approx(p.dspec.t_f)
     assert len(history) >= 3
@@ -104,6 +106,36 @@ def test_propagate_dt_validation():
         propagate(p, grid, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_oracle_layer_rejects_non_finite_inputs(bad):
+    p = _transport()
+    with pytest.raises(SpecError):
+        classical_simulate(p, bad)
+    with pytest.raises(SpecError):
+        make_grid(p, bad)
+    with pytest.raises(SpecError):
+        propagate(p, GRID, bad)
+    with pytest.raises(SpecError):
+        propagate(p, GRID, 1.0, dt=bad)
+    with pytest.raises(SpecError):
+        verification_report(p, bad)
+    with pytest.raises(SpecError):
+        verification_report(p, 1.0, dt=bad)
+
+
+def test_split_operator_is_fourth_order():
+    # far from every design zero, where the stepper error sits well above
+    # the ~1e-9 quanta floor of the energy measurement
+    p = _transport(d=20.0, tf=2.0 * math.pi * 1.25, freqs=(1.0,))
+    w = 1.1
+    grid = make_grid(p, w)
+    want = final_excitation(p, w)
+    errs = [abs(energy_expectation(propagate(p, grid, w, dt=dt), w, p.dspec.d) - 0.5 - want)
+            for dt in (0.018, 0.009)]
+    assert errs[1] > 1e-11  # both still above the floor, so the ratio is the stepper's
+    assert errs[0] >= 8.0 * errs[1]
+
+
 def test_make_grid_covers_path_with_padding():
     p = _transport(d=10.0)
     grid = make_grid(p, 1.0)
@@ -116,6 +148,22 @@ def test_make_grid_cap():
     p = _transport(d=4000.0, tf=40.0)
     with pytest.raises(GridError):
         make_grid(p, 1.0)
+
+
+@pytest.mark.parametrize("w", [0.95, 1.05])
+def test_fast_transport_grid_resolves_momentum(w):
+    # four stacked zeros in 1.25 periods: the packet peaks near speed 80,
+    # beyond the k_max = pi/dx of a grid sized from the excursion alone
+    p = _transport(d=20.0, tf=2.0 * math.pi * 1.25, freqs=(1.0,) * 4)
+    rep = verification_report(p, omega=w)
+    assert rep["n_points"] >= 2048
+    assert rep["fidelity_vs_analytic"] >= 1.0 - 1e-5
+    rel = rep["quantum_classical_rel_err"]
+    if rel is None:
+        assert rep["classical_delta_e_quanta"] <= 1e-6
+        assert abs(rep["delta_e_quanta"] - rep["classical_delta_e_quanta"]) <= 1e-9
+    else:
+        assert rel <= 1e-3
 
 
 def test_boundary_leak_detected():
