@@ -35,8 +35,8 @@ from .designer import (
     save_protocol,
 )
 from .errors import BoundaryLeakError, ConsistencyError, GridError, SpecError
-from .evaluator import classical_simulate, excitation_curve, final_excitation, lambda_metric
-from .optimizer import optimize_epsilon, sweep_epsilon
+from .evaluator import classical_simulate, excitation_curve, lambda_metric
+from .optimizer import PlacementPattern, optimize_epsilon
 from .qsim import verification_report
 
 _TWO_PI = 2.0 * math.pi
@@ -210,38 +210,36 @@ def _reproduce_fig1b(args, outdir: Path):
     return outputs, summary
 
 
+def _ratio(num: float, den: float):
+    """num / den, or None where a zero transport leaves nothing to compare."""
+    return num / den if den != 0.0 else None
+
+
 def _reproduce_fig2(args, outdir: Path):
     """Band-averaged excitation vs frequency spacing, two transport times."""
     outputs = []
     summary = {"d": args.d, "eta": args.eta, "omega0": args.omega0}
+    spread = PlacementPattern(kind="three_point", epsilon=0.03).frequencies(args.omega0)
     for tf_label, tf in (("tf1p25", _TWO_PI * 1.25), ("tf2p5", _TWO_PI * 2.5)):
         spec_base = _spec(args.d, tf, (1.0,))
         one_pt = lambda_metric(build_trajectory(spec_base), args.omega0, args.eta)
         block = {"lambda_one_point": one_pt}
         for kind in ("two_point", "three_point"):
-            sweep = sweep_epsilon(kind, spec_base, args.omega0, args.eta)
-            path = outdir / f"sweep_{kind}_{tf_label}.csv"
-            sweep.to_csv(path)
-            outputs.append(path)
             opt = optimize_epsilon(kind, spec_base, args.omega0, args.eta)
+            path = outdir / f"sweep_{kind}_{tf_label}.csv"
+            opt.sweep.to_csv(path)
+            outputs.append(path)
             block[kind] = opt.to_dict()
-        from .optimizer import PlacementPattern
-        from dataclasses import replace as _replace
-
-        probe = PlacementPattern(kind="three_point", epsilon=0.03)
-        lam_003 = lambda_metric(
-            build_trajectory(_replace(spec_base, freqs=probe.frequencies(args.omega0))),
-            args.omega0,
-            args.eta,
-        )
+        lam_003 = lambda_metric(build_trajectory(_spec(args.d, tf, spread)),
+                                args.omega0, args.eta)
         block["lambda_three_point_at_eps_0p03"] = lam_003
         three = block["three_point"]
         block["headline"] = {
-            "ratio_one_point_over_three_point_opt": one_pt / three["lambda_star"],
-            "ratio_three_point_eps0_over_0p03": three["lambda_at_zero"] / lam_003,
-            "ratio_three_point_0p03_over_eps0": lam_003 / three["lambda_at_zero"],
-            "ratio_two_over_three_at_opt": block["two_point"]["lambda_star"]
-            / three["lambda_star"],
+            "ratio_one_point_over_three_point_opt": _ratio(one_pt, three["lambda_star"]),
+            "ratio_three_point_eps0_over_0p03": _ratio(three["lambda_at_zero"], lam_003),
+            "ratio_three_point_0p03_over_eps0": _ratio(lam_003, three["lambda_at_zero"]),
+            "ratio_two_over_three_at_opt": _ratio(block["two_point"]["lambda_star"],
+                                                  three["lambda_star"]),
         }
         summary[tf_label] = block
     longer = summary["tf2p5"]
@@ -296,12 +294,6 @@ def cmd_qverify(args) -> int:
     report["d_stored"] = d_stored
     report["d_lift"] = lift
 
-    ok = report["fidelity_vs_analytic"] >= 1.0 - 1e-5
-    rel = report["quantum_classical_rel_err"]
-    if rel is not None and rel > 1e-3:
-        ok = False
-    report["pass"] = bool(ok)
-
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -323,8 +315,8 @@ def cmd_qverify(args) -> int:
     print(f"final energy: {report['final_energy_quanta']!r} quanta at omega = {args.omega!r}")
     print(f"excitation: {report['delta_e_quanta']!r} quanta (classical {report['classical_delta_e_quanta']!r})")
     print(f"fidelity vs analytic: {report['fidelity_vs_analytic']!r}")
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    print("PASS" if report["pass"] else "FAIL")
+    return 0 if report["pass"] else 1
 
 
 # -- parser -------------------------------------------------------------------

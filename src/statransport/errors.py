@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the shared input check."""
+
+import math
 
 
 class SpecError(ValueError):
@@ -27,3 +29,9 @@ class AccuracyWarning(UserWarning):
 
 class BracketWarning(UserWarning):
     """A scalar minimizer landed on the bracket edge; widen the search window."""
+
+
+def check_positive(name: str, value) -> None:
+    """Raise SpecError unless value is a positive finite number."""
+    if not (value > 0 and math.isfinite(value)):
+        raise SpecError(f"{name} must be positive and finite, got {value}")

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from .designer import TransportProtocol, _exact_tables, _term_scales
-from .errors import AccuracyWarning, ResolutionWarning, SpecError
+from .errors import AccuracyWarning, ResolutionWarning, SpecError, check_positive
 
 __all__ = [
     "fourier_accel",
@@ -200,8 +200,7 @@ def final_excitation(protocol: TransportProtocol, omega: float) -> float:
     Delta E = |F|^2 / 2 in the internal units (unit mass), divided by omega
     to express it as a phonon number at that frequency.
     """
-    if not (omega > 0):
-        raise SpecError(f"probe frequency must be positive, got {omega}")
+    check_positive("probe frequency", omega)
     mag = fourier_factorized(protocol, omega)
     return 0.5 * mag * mag / omega
 
@@ -352,8 +351,7 @@ def classical_simulate(protocol: TransportProtocol, omega: float, n_steps=None) 
     one cumulative sum.  Same method, same truncation error as stepping in
     a loop.
     """
-    if not (omega > 0 and math.isfinite(omega)):
-        raise SpecError(f"probe frequency must be positive and finite, got {omega}")
+    check_positive("probe frequency", omega)
     tf = protocol.dspec.t_f
     if n_steps is None:
         n_steps = max(1000, int(math.ceil(200.0 * omega * tf / (2.0 * math.pi))))
@@ -412,8 +410,7 @@ def complex_amplitude(protocol: TransportProtocol, omega: float, t: float) -> co
     tf = protocol.dspec.t_f
     if not 0.0 <= t <= tf:
         raise SpecError(f"t = {t} outside [0, {tf}]")
-    if not (omega > 0):
-        raise SpecError("omega must be positive")
+    check_positive("omega", omega)
     s1 = t / tf
     if s1 == 0.0:
         return 0j
@@ -470,32 +467,39 @@ def _envelope_abs(n: int, w: np.ndarray) -> np.ndarray:
     return out
 
 
+_MAX_PANELS = 2 ** 14  # bounds the node arrays; eta omega0 t_f up to about 5e4
+
+
 def lambda_metric(protocol: TransportProtocol, omega0: float, eta: float, n_quad: int = 16) -> float:
     """Band-averaged excitation around omega0 with half-width eta.
 
     Lambda = (1 / (2 omega0 eta)) * int |F(w)|^2 / (2 omega0) dw over
     [omega0 (1 - eta), omega0 (1 + eta)], in quanta of omega0.  Composite
-    Gauss-Legendre over 8 panels, node count doubled until the value is
-    stable to 1e-8 relative.  Each node set is one array: |F|^2 =
-    prod_i (w_i^2 - omega^2)^2 * (norm t_f)^2 * |I_g(omega t_f)|^2 with the
-    envelope from its closed form.
+    Gauss-Legendre over max(8, ceil(eta omega0 t_f / pi)) panels, one or
+    more per oscillation of |I_g|^2 across the band; node count doubled
+    until the value is stable to 1e-8 relative.  Each node set is one
+    array: |F|^2 = prod_i (w_i^2 - omega^2)^2 * (norm t_f)^2 *
+    |I_g(omega t_f)|^2 with the envelope from its closed form.
     """
-    if not (omega0 > 0):
-        raise SpecError("omega0 must be positive")
+    check_positive("omega0", omega0)
     if not 0.0 < eta < 1.0:
         raise SpecError(f"eta must lie in (0, 1), got {eta}")
     n_quad = int(n_quad)
     if n_quad < 16:
         raise SpecError("n_quad must be at least 16")
 
+    tf = protocol.dspec.t_f
+    panels = max(8, math.ceil(eta * omega0 * tf / math.pi))
+    if panels > _MAX_PANELS:
+        raise SpecError(f"the band spans {panels} envelope oscillations; "
+                        f"at most {_MAX_PANELS} are supported (lower eta or t_f)")
     lo = omega0 * (1.0 - eta)
     hi = omega0 * (1.0 + eta)
-    edges = np.linspace(lo, hi, 9)
+    edges = np.linspace(lo, hi, panels + 1)
     inv_norm = 1.0 / (2.0 * omega0 * eta * 2.0 * omega0)
 
     mids = (0.5 * (edges[:-1] + edges[1:]))[:, None]
     halves = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-    tf = protocol.dspec.t_f
     scale = (protocol.aux.norm * tf) ** 2
     n_points = protocol.aux.n_points
 

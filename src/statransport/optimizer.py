@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -162,6 +162,7 @@ class OptimizationResult:
     eps_star: float
     lambda_star: float
     lambda_at_zero: float
+    sweep: Optional[SweepResult] = field(default=None, compare=False, repr=False)
 
     @property
     def ratio(self):
@@ -190,9 +191,10 @@ def optimize_epsilon(pattern_kind, spec_base: TransportSpec, omega0: float, eta:
                      tol: float = 1e-5) -> OptimizationResult:
     """Minimize Lambda over the spacing: coarse scan, then golden section.
 
-    The coarse scan locates the basin; golden section shrinks it to tol.
-    If the minimum sits at a bracket edge a BracketWarning is emitted and
-    the edge value is returned.
+    The coarse scan, a sweep over coarse_points spacings spanning the
+    bracket, locates the basin and is returned as the result's sweep;
+    golden section shrinks the basin to tol.  If the minimum sits at a
+    bracket edge a BracketWarning is emitted and the edge value is returned.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 <= lo < hi <= 0.2):
@@ -205,17 +207,18 @@ def optimize_epsilon(pattern_kind, spec_base: TransportSpec, omega0: float, eta:
         return _lambda_for(pattern_kind, spec_base, omega0, eta, eps, n_points)
 
     lambda_zero = _lambda_for(pattern_kind, spec_base, omega0, eta, 0.0, n_points)
+    sweep = sweep_epsilon(pattern_kind, spec_base, omega0, eta,
+                          eps_grid=np.linspace(lo, hi, int(coarse_points)), n_points=n_points)
 
     if spec_base.d == 0.0:
         # zero transport excites nothing; any spacing is equally optimal
-        return OptimizationResult(kind, omega0, eta, lo, 0.0, lambda_zero)
+        return OptimizationResult(kind, omega0, eta, lo, 0.0, lambda_zero, sweep)
 
-    grid = np.linspace(lo, hi, int(coarse_points))
-    values = [f(float(e)) for e in grid]
+    grid, values = sweep.epsilons, sweep.lambdas
     i = int(np.argmin(values))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, len(grid) - 1)])
-    best_eps, best_val = float(grid[i]), values[i]
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
+    best_eps, best_val = grid[i], values[i]
 
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
@@ -239,4 +242,4 @@ def optimize_epsilon(pattern_kind, spec_base: TransportSpec, omega0: float, eta:
             BracketWarning,
             stacklevel=2,
         )
-    return OptimizationResult(kind, omega0, eta, best_eps, best_val, lambda_zero)
+    return OptimizationResult(kind, omega0, eta, best_eps, best_val, lambda_zero, sweep)

@@ -113,9 +113,6 @@ class Polynomial:
     def scale(self, factor) -> "Polynomial":
         return Polynomial(tuple(factor * c for c in self.coeffs))
 
-    def as_float(self) -> "Polynomial":
-        return Polynomial(tuple(float(c) for c in self.coeffs))
-
     def as_fraction(self) -> "Polynomial":
         return Polynomial(tuple(Fraction(c) for c in self.coeffs))
 
@@ -138,13 +135,6 @@ class SymmetricCoefficients:
     @property
     def n(self) -> int:
         return len(self.values) - 1
-
-    def char(self, x):
-        """prod_i (w_i^2 - x), expanded through the stored coefficients."""
-        acc = 0.0
-        for j, e in enumerate(self.values):
-            acc = acc + e * (-x) ** (self.n - j)
-        return acc
 
 
 def symmetric_coefficients(freqs: Sequence[float]) -> SymmetricCoefficients:

@@ -26,7 +26,7 @@ from scipy import fft
 from scipy.integrate import simpson
 
 from .designer import TransportProtocol
-from .errors import BoundaryLeakError, ConsistencyError, GridError, SpecError
+from .errors import BoundaryLeakError, ConsistencyError, GridError, SpecError, check_positive
 from .evaluator import classical_simulate
 
 __all__ = [
@@ -86,11 +86,6 @@ class WaveFunction:
         return math.sqrt(float(np.sum(np.abs(self.psi) ** 2)) * self.grid.dx)
 
 
-def _check_positive(name: str, value) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise SpecError(f"{name} must be positive and finite, got {value}")
-
-
 def _classical_path(protocol: TransportProtocol, omega: float):
     """The classical path behind a grid, a default step and a coherent state."""
     n_steps = max(4000, int(math.ceil(100.0 * omega * protocol.dspec.t_f)))
@@ -112,7 +107,7 @@ def make_grid(protocol: TransportProtocol, omega: float, pad=None, n_points=None
     reach the peak lab-frame speed plus ten momentum widths, or the fast
     part of the transport aliases round the periodic box.
     """
-    _check_positive("omega", omega)
+    check_positive("omega", omega)
     return _grid_from_path(protocol, omega, _classical_path(protocol, omega), pad, n_points)
 
 
@@ -141,7 +136,7 @@ def _grid_from_path(protocol: TransportProtocol, omega: float, path, pad, n_poin
 
 
 def ground_state(grid: SpatialGrid, omega: float, center: float = 0.0) -> WaveFunction:
-    _check_positive("omega", omega)
+    check_positive("omega", omega)
     a_len = 1.0 / math.sqrt(omega)
     if a_len < 4.0 * grid.dx:
         raise GridError(f"oscillator length {a_len:.3g} under-resolved: dx = {grid.dx:.3g}")
@@ -160,7 +155,7 @@ def first_excited_state(grid: SpatialGrid, omega: float, center: float = 0.0) ->
 
 def energy_expectation(wf: WaveFunction, omega: float, x0_at_t: float) -> float:
     """<H>/(hbar omega): kinetic part in momentum space, potential on the grid."""
-    _check_positive("omega", omega)
+    check_positive("omega", omega)
     psi_k = np.fft.fft(wf.psi)
     weight = np.abs(psi_k) ** 2
     kinetic = float(np.sum(0.5 * wf.grid.k ** 2 * weight) / np.sum(weight))
@@ -204,10 +199,10 @@ def propagate(protocol: TransportProtocol, grid: SpatialGrid, omega: float, dt=N
     history, when given a list and record_every > 0, collects
     (t, energy_quanta) tuples every record_every steps plus the endpoints.
     """
-    _check_positive("omega", omega)
+    check_positive("omega", omega)
     if dt is None:
         dt = _default_dt(omega, _classical_path(protocol, omega))
-    _check_positive("dt", dt)
+    check_positive("dt", dt)
     if dt > 0.02 / omega:
         raise SpecError(f"dt = {dt} too coarse; need dt <= {0.02 / omega:.4g} at omega = {omega}")
     tf = protocol.dspec.t_f
@@ -280,7 +275,7 @@ def analytic_solution(protocol: TransportProtocol, grid: SpatialGrid, omega: flo
         t = tf
     if not 0.0 <= t <= tf:
         raise SpecError(f"t = {t} outside [0, {tf}]")
-    _check_positive("omega", omega)
+    check_positive("omega", omega)
     return _coherent_state(protocol, grid, omega, t, _classical_path(protocol, omega))
 
 
@@ -314,8 +309,11 @@ def verification_report(protocol: TransportProtocol, omega: float, n_points=None
 
     One classical path, at the coherent state's step count, sizes the grid,
     gives the classical answer and carries the coherent-state reference.
+    The verdict "pass" asks for a fidelity of at least 1 - 1e-5 and, once
+    the classical excitation passes 1e-6 quanta, a relative quantum-classical
+    gap of at most 1e-3.
     """
-    _check_positive("omega", omega)
+    check_positive("omega", omega)
     path = _classical_path(protocol, omega)
     if dt is None:
         dt = _default_dt(omega, path)
@@ -328,6 +326,7 @@ def verification_report(protocol: TransportProtocol, omega: float, n_points=None
     delta_q = e_final - 0.5
     delta_c = path.final_quanta
     rel = abs(delta_q - delta_c) / delta_c if delta_c > 1e-6 else None
+    fid = abs(overlap)
     return {
         "omega": omega,
         "tf": protocol.dspec.t_f,
@@ -339,7 +338,8 @@ def verification_report(protocol: TransportProtocol, omega: float, n_points=None
         "delta_e_quanta": delta_q,
         "classical_delta_e_quanta": delta_c,
         "quantum_classical_rel_err": rel,
-        "fidelity_vs_analytic": abs(overlap),
+        "fidelity_vs_analytic": fid,
         "overlap_phase_rad": math.atan2(overlap.imag, overlap.real),
         "norm": final.norm(),
+        "pass": fid >= 1.0 - 1e-5 and (rel is None or rel <= 1e-3),
     }

@@ -9,13 +9,14 @@ tests record claims the implementation measurably contradicts, with the
 measured numbers in the reason strings.
 """
 
+import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from statransport import cli
 from statransport.designer import (
     PhysicalUnits,
     TransportSpec,
@@ -32,9 +33,7 @@ from statransport.evaluator import (
     flatness_order,
     fourier_accel,
     fourier_factorized,
-    lambda_metric,
 )
-from statransport.optimizer import PlacementPattern, optimize_epsilon
 from statransport.qsim import verification_report
 
 
@@ -234,34 +233,32 @@ _FROZEN = {
 
 
 @pytest.fixture(scope="module")
-def robustness_table():
-    d, eta = 30000.0, 0.02
+def robustness_table(tmp_path_factory):
+    """The band-average table as `sta-transport reproduce fig2` writes it.
+
+    "fast" is the t_f = 2 pi * 1.25 block of fig2's summary, "slow" the
+    t_f = 2 pi * 2.5 block, at fig2's defaults d = 30000 and eta = 0.02.
+    """
+    outdir = tmp_path_factory.mktemp("fig2")
     t0 = time.perf_counter()
-    table = {}
-    for label, tf in (("fast", 2.5 * math.pi), ("slow", 5.0 * math.pi)):
-        base = TransportSpec(d=d, t_f=tf, freqs=(1.0,))
-        table[label, "one"] = lambda_metric(build_trajectory(base), 1.0, eta)
-        for kind in ("two_point", "three_point"):
-            table[label, kind] = optimize_epsilon(kind, base, 1.0, eta)
-    base_fast = TransportSpec(d=d, t_f=2.5 * math.pi, freqs=(1.0,))
-    for tag, eps in (("three_eps_0", 0.0), ("three_eps_0.03", 0.03)):
-        freqs = PlacementPattern(kind="three_point", epsilon=eps).frequencies(1.0)
-        proto = build_trajectory(replace(base_fast, freqs=freqs))
-        table["fast", tag] = lambda_metric(proto, 1.0, eta)
-    table["elapsed"] = time.perf_counter() - t0
-    return table
+    assert cli.main(["reproduce", "fig2", "--outdir", str(outdir)]) == 0
+    elapsed = time.perf_counter() - t0
+    summary = json.loads((outdir / "fig2_summary.json").read_text())
+    assert (summary["d"], summary["eta"], summary["omega0"]) == (30000.0, 0.02, 1.0)
+    return {"fast": summary["tf1p25"], "slow": summary["tf2p5"], "elapsed": elapsed}
 
 
 def test_criterion_6_frozen_regression(robustness_table):
+    fast, slow = robustness_table["fast"], robustness_table["slow"]
     got = {
-        ("fast", "one"): robustness_table["fast", "one"],
-        ("fast", "two_star"): robustness_table["fast", "two_point"].lambda_star,
-        ("fast", "three_star"): robustness_table["fast", "three_point"].lambda_star,
-        ("fast", "three_eps_0"): robustness_table["fast", "three_eps_0"],
-        ("fast", "three_eps_0.03"): robustness_table["fast", "three_eps_0.03"],
-        ("slow", "one"): robustness_table["slow", "one"],
-        ("slow", "two_star"): robustness_table["slow", "two_point"].lambda_star,
-        ("slow", "three_star"): robustness_table["slow", "three_point"].lambda_star,
+        ("fast", "one"): fast["lambda_one_point"],
+        ("fast", "two_star"): fast["two_point"]["lambda_star"],
+        ("fast", "three_star"): fast["three_point"]["lambda_star"],
+        ("fast", "three_eps_0"): fast["three_point"]["lambda_at_zero"],
+        ("fast", "three_eps_0.03"): fast["lambda_three_point_at_eps_0p03"],
+        ("slow", "one"): slow["lambda_one_point"],
+        ("slow", "two_star"): slow["two_point"]["lambda_star"],
+        ("slow", "three_star"): slow["three_point"]["lambda_star"],
     }
     drift = max(abs(got[k] / _FROZEN[k] - 1.0) for k in _FROZEN)
     elapsed = robustness_table["elapsed"]
@@ -274,8 +271,9 @@ def test_criterion_6_frozen_regression(robustness_table):
 
 
 def test_criterion_6a_three_point_optimum_gain(robustness_table):
-    lam1 = robustness_table["fast", "one"]
-    lam3 = robustness_table["fast", "three_point"].lambda_star
+    fast = robustness_table["fast"]
+    lam1 = fast["lambda_one_point"]
+    lam3 = fast["three_point"]["lambda_star"]
     ok = lam3 <= 1e-5 * lam1
     _line(ok, "criterion 6a (optimal 3-frequency gain)",
           f"Lambda* = {lam3:.3e} vs single-frequency {lam1:.3e}: "
@@ -293,8 +291,9 @@ def test_criterion_6a_three_point_optimum_gain(robustness_table):
     "written.",
 )
 def test_criterion_6b_spread_at_003_beats_coincident(robustness_table):
-    lam_coincident = robustness_table["fast", "three_eps_0"]
-    lam_spread = robustness_table["fast", "three_eps_0.03"]
+    fast = robustness_table["fast"]
+    lam_coincident = fast["three_point"]["lambda_at_zero"]
+    lam_spread = fast["lambda_three_point_at_eps_0p03"]
     ratio = lam_coincident / lam_spread
     _line(ratio >= 5.0, "criterion 6b (eps = 0.03 vs coincident)",
           f"Lambda(0)/Lambda(0.03) = {ratio:.3f} (want >= 5)")
@@ -302,9 +301,10 @@ def test_criterion_6b_spread_at_003_beats_coincident(robustness_table):
 
 
 def test_criterion_6c_each_added_zero_pays(robustness_table):
-    lam1 = robustness_table["fast", "one"]
-    lam2 = robustness_table["fast", "two_point"].lambda_star
-    lam3 = robustness_table["fast", "three_point"].lambda_star
+    fast = robustness_table["fast"]
+    lam1 = fast["lambda_one_point"]
+    lam2 = fast["two_point"]["lambda_star"]
+    lam3 = fast["three_point"]["lambda_star"]
     r21, r32 = lam1 / lam2, lam2 / lam3
     ok = r21 >= 1e2 and r32 >= 1e2
     _line(ok, "criterion 6c (order-by-order improvement)",
@@ -314,17 +314,11 @@ def test_criterion_6c_each_added_zero_pays(robustness_table):
 
 
 def test_criterion_6d_slower_transport_always_calmer(robustness_table):
-    pairs = [
-        ("one", robustness_table["fast", "one"], robustness_table["slow", "one"]),
-        ("two*", robustness_table["fast", "two_point"].lambda_star,
-         robustness_table["slow", "two_point"].lambda_star),
-        ("two(0)", robustness_table["fast", "two_point"].lambda_at_zero,
-         robustness_table["slow", "two_point"].lambda_at_zero),
-        ("three*", robustness_table["fast", "three_point"].lambda_star,
-         robustness_table["slow", "three_point"].lambda_star),
-        ("three(0)", robustness_table["fast", "three_point"].lambda_at_zero,
-         robustness_table["slow", "three_point"].lambda_at_zero),
-    ]
+    fast, slow = robustness_table["fast"], robustness_table["slow"]
+    pairs = [("one", fast["lambda_one_point"], slow["lambda_one_point"])]
+    for name, kind in (("two", "two_point"), ("three", "three_point")):
+        pairs.append((f"{name}*", fast[kind]["lambda_star"], slow[kind]["lambda_star"]))
+        pairs.append((f"{name}(0)", fast[kind]["lambda_at_zero"], slow[kind]["lambda_at_zero"]))
     ok = all(slow < fast for _, fast, slow in pairs)
     _line(ok, "criterion 6d (doubling t_f lowers every entry)",
           "; ".join(f"{name}: {slow:.3e} < {fast:.3e}" for name, fast, slow in pairs))

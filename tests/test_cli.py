@@ -112,6 +112,20 @@ def test_reproduce_trajectory_study(tmp_path):
         assert (outdir / name).exists()
 
 
+def test_reproduce_fig2_zero_distance(tmp_path):
+    # a zero transport excites nothing: every headline ratio is 0/0
+    outdir = tmp_path / "fig2"
+    assert main(["reproduce", "fig2", "--outdir", str(outdir), "--d", "0"]) == 0
+    summary = json.loads((outdir / "fig2_summary.json").read_text())
+    for label in ("tf1p25", "tf2p5"):
+        assert summary[label]["three_point"]["lambda_star"] == 0.0
+        assert set(summary[label]["headline"].values()) == {None}
+    manifest = json.loads((outdir / "reproduce_fig2_manifest.json").read_text())
+    assert len(manifest["outputs"]) == 5
+    for name in manifest["outputs"]:
+        assert (outdir / name).exists()
+
+
 def test_qverify_roundtrip(tmp_path, capsys):
     proto = _design(tmp_path)
     report_path = tmp_path / "report.json"

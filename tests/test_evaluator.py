@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.special import spherical_jn
 
 from statransport.designer import (
     PhysicalUnits,
@@ -16,7 +17,7 @@ from statransport.designer import (
     _term_scales,
     build_trajectory,
 )
-from statransport.errors import ResolutionWarning, SpecError
+from statransport.errors import AccuracyWarning, ResolutionWarning, SpecError
 from statransport.evaluator import (
     _envelope_abs,
     _gauss_nodes,
@@ -404,12 +405,59 @@ def test_lambda_scales_with_d_squared():
     )
 
 
+def _dense_band_average(protocol, omega0, eta):
+    """Lambda on 24 Gauss nodes x (4 eta t_f + 8) panels, no refinement.
+
+    |F|^2 = prod_i (w_i^2 - omega^2)^2 (norm t_f)^2 |I_g(omega t_f)|^2 with
+    |I_g(W)| = (2N)! |j_(2N+1)(W/2)| / W^(2N) (DLMF 10.54.2); the panels
+    are four per oscillation of |I_g|^2 across the band, or more.
+    """
+    tf, n = protocol.dspec.t_f, protocol.aux.n_points
+    x, w = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(omega0 * (1.0 - eta), omega0 * (1.0 + eta), int(4 * eta * tf) + 9)
+    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    om = (mids + halves * x).ravel()
+    big = om * tf
+    env = math.factorial(2 * n) * np.abs(spherical_jn(2 * n + 1, 0.5 * big)) / big ** (2 * n)
+    zeros = np.prod([(wi - om) * (wi + om) for wi in protocol.dspec.freqs], axis=0)
+    vals = (halves * w).ravel() * (zeros * env * protocol.aux.norm * tf) ** 2
+    return math.fsum(vals.tolist()) / (2.0 * omega0 * eta * 2.0 * omega0)
+
+
+@pytest.mark.filterwarnings("error", category=AccuracyWarning)
+@pytest.mark.parametrize("freqs", [(1.0,), (0.99, 1.0, 1.01)])
+@pytest.mark.parametrize("tf", [1e5, 1e6])
+def test_lambda_resolves_long_transports(tf, freqs):
+    # at t_f = 1e6 the band spans ~6,400 oscillations of the envelope;
+    # eight fixed panels were off by up to 3e-2 there
+    p = _protocol(freqs, tf=tf)
+    want = _dense_band_average(p, 1.0, 0.02)
+    assert lambda_metric(p, 1.0, 0.02) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_lambda_validation():
     p = _protocol((1.0,))
     with pytest.raises(SpecError):
         lambda_metric(p, 1.0, 0.0)
     with pytest.raises(SpecError):
         lambda_metric(p, 0.0, 0.02)
+    # more envelope oscillations than panels allowed: refused before any node is built
+    with pytest.raises(SpecError, match="envelope oscillations"):
+        lambda_metric(_protocol((1.0,), tf=1e9), 1.0, 0.02)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_probes_reject_non_finite_frequencies(bad):
+    p = _protocol((0.98, 1.02))
+    with pytest.raises(SpecError):
+        final_excitation(p, bad)
+    with pytest.raises(SpecError):
+        excitation_curve(p, [1.0, bad])
+    with pytest.raises(SpecError):
+        complex_amplitude(p, bad, 1.0)
+    with pytest.raises(SpecError):
+        lambda_metric(p, bad, 0.02)
 
 
 def test_flatness_order_coincident_designs():

@@ -131,6 +131,19 @@ def test_optimize_zero_distance_short_circuit():
     assert result.ratio is None
 
 
+@pytest.mark.parametrize("d", [1.0, 0.0])
+def test_optimize_carries_its_coarse_sweep(d):
+    base = replace(BASE, d=d)
+    result = optimize_epsilon("two_point", base, 1.0, 0.05, bracket=(0.0, 0.04), coarse_points=9)
+    want = sweep_epsilon("two_point", base, 1.0, 0.05, eps_grid=np.linspace(0.0, 0.04, 9))
+    assert result.sweep == want
+    # the sweep rides along: not serialized, not compared
+    assert set(result.to_dict()) == {
+        "pattern", "omega0", "eta", "eps_star", "lambda_star", "lambda_at_zero", "ratio",
+    }
+    assert result == replace(result, sweep=None)
+
+
 def test_optimize_validation():
     with pytest.raises(SpecError):
         optimize_epsilon("two_point", BASE, 1.0, 0.05, bracket=(0.05, 0.01))

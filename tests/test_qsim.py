@@ -210,6 +210,17 @@ def test_verification_report_contents():
     assert rep["quantum_classical_rel_err"] <= 1e-3
 
 
+@pytest.mark.parametrize("omega", [1.0, 1.05])
+def test_verification_report_verdict(omega):
+    # the verdict: fidelity >= 1 - 1e-5, and a relative gap <= 1e-3 once
+    # the classical excitation passes 1e-6 quanta (never at a design zero)
+    rep = verification_report(_transport(d=8.0, tf=3.0, freqs=(1.0, 1.02)), omega=omega)
+    rel = rep["quantum_classical_rel_err"]
+    assert (rel is None) == (omega == 1.0)
+    rule = rep["fidelity_vs_analytic"] >= 1.0 - 1e-5 and (rel is None or rel <= 1e-3)
+    assert rep["pass"] is rule is True
+
+
 def test_quantum_excitation_scales_with_d_squared():
     # doubling the distance quadruples the residual quanta
     reps = [
