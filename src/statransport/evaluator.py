@@ -274,22 +274,25 @@ def _longdouble_terms(n: int):
     """Structured term coefficients pre-converted to extended precision.
 
     str round-trips keep large integers exact to the longdouble mantissa;
-    the rational velocity-term coefficients are converted by one division.
+    the rational velocity- and position-term coefficients are converted by
+    one division each.
     """
-    out = []
-    for aterm, vterm, _ in _exact_tables(n):
-        a_ld = np.array([np.longdouble(str(c)) for c in aterm.coeffs], dtype=np.longdouble)
-        v_ld = np.array(
+    def rational(poly):
+        return np.array(
             [np.longdouble(str(c.numerator)) / np.longdouble(str(c.denominator))
-             for c in vterm.coeffs],
+             for c in poly.coeffs],
             dtype=np.longdouble,
         )
-        out.append((a_ld, v_ld))
+
+    out = []
+    for aterm, vterm, xterm in _exact_tables(n):
+        a_ld = np.array([np.longdouble(str(c)) for c in aterm.coeffs], dtype=np.longdouble)
+        out.append((a_ld, rational(vterm), rational(xterm)))
     return tuple(out)
 
 
 def _structured_samples(protocol: TransportProtocol, s: np.ndarray, which: int) -> np.ndarray:
-    """Trap acceleration (which=0) or velocity (which=1) via the term merge.
+    """Trap acceleration (0), velocity (1) or position (2) via the term merge.
 
     Collapsing the design into one float64 polynomial costs a few
     1e-10-level coefficient roundings, which is exactly the noise floor a
@@ -306,8 +309,8 @@ def _structured_samples(protocol: TransportProtocol, s: np.ndarray, which: int) 
         for coef in coeff_sets[which][::-1]:
             vals = vals * sl + coef
         acc += np.longdouble(c) * vals
-    if which == 1:
-        acc *= np.longdouble(protocol.dspec.t_f)
+    if which:
+        acc *= np.longdouble(protocol.dspec.t_f) ** which
     return acc.astype(np.float64)
 
 

@@ -1,16 +1,14 @@
 """Split-operator quantum oracle for transport protocols.
 
-Propagates the 1D Schroedinger equation in a moving harmonic trap with a
-fourth-order split-operator stepper: each step is Yoshida's triple jump
-(Phys. Lett. A 150, 262 (1990)) of three Strang substeps, each a half kick
-in the potential at the substep's midpoint trap position, a kinetic drift
-in momentum space and a half kick again.  The error is O(dt^4) per unit
-time and the map is exactly unitary up to FFT rounding, which the norm
-check enforces rather than hides.
+Propagates the 1D Schroedinger equation in a moving harmonic trap with
+Chin's fourth-order gradient splitting 4A, two FFT pairs a step (see
+`propagate`).  The map is exactly unitary up to FFT rounding, which the
+norm check enforces rather than hides.
 
 The analytic reference is the coherent state riding the classical
 trajectory: the same RK4 integration used by the classical oracle supplies
-the center, velocity, and action phase, so quantum, classical, and
+the center, velocity, and action phase, and the trap position everywhere
+here is the structured term sum that drives it.  So quantum, classical, and
 closed-form predictions can disagree only through genuine physics or
 stepper error, never through a second trajectory convention.
 """
@@ -23,11 +21,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy import fft
-from scipy.integrate import simpson
 
 from .designer import TransportProtocol
 from .errors import BoundaryLeakError, ConsistencyError, GridError, SpecError, check_positive
-from .evaluator import classical_simulate
+from .evaluator import _structured_samples, classical_simulate
 
 __all__ = [
     "SpatialGrid",
@@ -92,6 +89,19 @@ def _classical_path(protocol: TransportProtocol, omega: float):
     return classical_simulate(protocol, omega, n_steps=n_steps + n_steps % 2)
 
 
+def _simpson(f: np.ndarray, h: float) -> float:
+    """Composite Simpson on uniform samples, closing an odd interval count
+    as scipy.integrate.simpson does; two samples take the trapezoid."""
+    n = f.size - 1
+    if n == 1:
+        return 0.5 * h * float(f[0] + f[1])
+    m = n - n % 2
+    total = h / 3.0 * float(f[0] + f[m] + 4.0 * f[1:m:2].sum() + 2.0 * f[2:m - 1:2].sum())
+    if n % 2:
+        total += h / 12.0 * float(5.0 * f[n] + 8.0 * f[n - 1] - f[n - 2])
+    return total
+
+
 def _peak_speed(path) -> float:
     """Peak lab-frame speed of the packet center along a classical path."""
     return float(np.max(np.abs(path.xi_dot + path.v0_samples)))
@@ -116,8 +126,7 @@ def _grid_from_path(protocol: TransportProtocol, omega: float, path, pad, n_poin
     if pad is None:
         pad = 10.0 * a_len
     pad = max(pad, 8.0 * a_len)
-    s = path.times / protocol.dspec.t_f
-    xc = protocol.x0(s) + path.xi
+    xc = _structured_samples(protocol, path.times / protocol.dspec.t_f, 2) + path.xi
     lo = min(0.0, float(xc.min())) - pad
     hi = max(protocol.dspec.d, float(xc.max())) + pad
     if n_points is None:
@@ -165,21 +174,14 @@ def energy_expectation(wf: WaveFunction, omega: float, x0_at_t: float) -> float:
     return (kinetic + potential) / omega
 
 
-# Yoshida's triple jump: three Strang substeps of w1, w0, w1 times the step
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_W0 = -(2.0 ** (1.0 / 3.0)) * _W1
-_TRIPLE = np.array([_W1, _W0, _W1])
-_TRIPLE_START = np.array([0.0, _W1, _W1 + _W0])
-
-
 def _default_dt(omega: float, path) -> float:
-    """Default step: min(0.02, 0.02/omega), shortened to 0.08/sqrt(v).
+    """Default step: min(0.02, 0.02/omega, 0.32/v) for a peak packet speed v > 16.
 
-    v is the packet's peak lab-frame speed, and the cut starts once v passes
-    16.  At a fixed step the splitting error of a fast transport grows about
-    as v^2, and a fourth-order step takes it back down as dt^4.
+    Measured at N = 4, d = 20, t_f = 2 pi 1.25, omega = 1.05 (v near 83): a
+    step of 0.08/sqrt(v) left a quantum-classical gap of 5.3e-4, and 0.32/v
+    leaves 4.9e-5.
     """
-    return min(0.02, 0.02 / omega, 0.08 / math.sqrt(max(16.0, _peak_speed(path))))
+    return min(0.02, 0.02 / omega, 0.32 / max(16.0, _peak_speed(path)))
 
 
 def _step_count(protocol: TransportProtocol, dt: float) -> int:
@@ -190,12 +192,13 @@ def propagate(protocol: TransportProtocol, grid: SpatialGrid, omega: float, dt=N
               history=None, record_every: int = 0) -> WaveFunction:
     """Run the full transport from the trap ground state at the origin.
 
-    Each step of length dt is Yoshida's triple jump: three Strang substeps
-    (half kick, kinetic drift, half kick, the kicks at the substep's own
-    midpoint time) of lengths w1 dt, w0 dt, w1 dt, which makes the stepper
-    fourth order.  Adjacent half kicks are applied as one.  dt defaults to
-    min(0.02, 0.02/omega), shorter for fast transports, and is rounded down
-    to cover [0, t_f] exactly.
+    Each step of length dt from t is Chin's splitting 4A (Phys. Lett. A 226,
+    344 (1997)), its kicks at the times the drifts reach (Chin & Chen,
+    J. Chem. Phys. 114, 7338 (2001)): a kick of dt/6 in V(t), a half drift,
+    a kick of 2dt/3 in V(t + dt/2) (1 - omega^2 dt^2/24), the harmonic
+    V - (dt^2/48)(dV/dx)^2, a half drift and a kick of dt/6 in V(t + dt).
+    The stepper is fourth order.  Adjacent edge kicks are applied as one,
+    and dt (default: `_default_dt`) is rounded down to cover [0, t_f].
     history, when given a list and record_every > 0, collects
     (t, energy_quanta) tuples every record_every steps plus the endpoints.
     """
@@ -209,21 +212,20 @@ def propagate(protocol: TransportProtocol, grid: SpatialGrid, omega: float, dt=N
     n_steps = _step_count(protocol, dt)
     dt = tf / n_steps
 
-    x = grid.x
-    k2 = grid.k ** 2
-    kin = [np.exp(-0.5j * tau * dt * k2) for tau in _TRIPLE]
-    t_mid = (np.arange(n_steps)[:, None] + _TRIPLE_START + 0.5 * _TRIPLE).ravel() * dt
-    x0_mid = protocol.x0(t_mid / tf)
-    n_sub = 3 * n_steps
+    # even samples are the step edges, odd samples the midpoints
+    x0s = _structured_samples(protocol, np.linspace(0.0, 1.0, 2 * n_steps + 1), 2)
+    drift = np.exp(-0.25j * dt * grid.k ** 2)
+    c_mid = -(omega ** 2 * dt / 3.0) * (1.0 - (omega * dt) ** 2 / 24.0)
+    c_edge = -omega ** 2 * dt / 12.0
 
-    def half_phase(i: int) -> np.ndarray:
-        return (-0.25 * omega ** 2 * dt * _TRIPLE[i % 3]) * (x - x0_mid[i]) ** 2
+    def kick(c: float, i: int) -> np.ndarray:
+        return np.exp((1j * c) * (grid.x - x0s[i]) ** 2)
 
-    wf = ground_state(grid, omega, center=protocol.x0(0.0))
-    psi = wf.psi * np.exp(1j * half_phase(0))
+    wf = ground_state(grid, omega, center=x0s[0])
+    psi = wf.psi * kick(c_edge, 0)
     peak = float(np.max(np.abs(psi)))
 
-    # psi carries a pending half kick between substeps; it is a pure phase,
+    # psi carries a pending edge kick between steps; it is a pure phase,
     # so edge and peak magnitudes read straight off psi
     def check_leak(pairs: int):
         edge = max(abs(psi[0]), abs(psi[-1]))
@@ -234,26 +236,23 @@ def propagate(protocol: TransportProtocol, grid: SpatialGrid, omega: float, dt=N
             )
 
     def record(step: int, state: np.ndarray):
-        t = step * dt
-        snap = WaveFunction(grid=grid, psi=state, t=t)
-        history.append((t, energy_expectation(snap, omega, float(protocol.x0(t / tf)))))
+        snap = WaveFunction(grid=grid, psi=state, t=step * dt)
+        history.append((step * dt, energy_expectation(snap, omega, float(x0s[2 * step]))))
 
     recording = history is not None and record_every > 0
     if recording:
         record(0, wf.psi)
-    for i in range(n_sub):
-        psi = fft.ifft(kin[i % 3] * fft.fft(psi), overwrite_x=True)
-        phase = half_phase(i)
-        step, end_of_step = divmod(i + 1, 3)
-        if recording and end_of_step == 0 and step % record_every == 0 and step < n_steps:
-            record(step, psi * np.exp(1j * phase))
-        if i + 1 < n_sub:
-            phase += half_phase(i + 1)
-        psi *= np.exp(1j * phase)
-        if (i + 1) % 128 == 0:
-            check_leak(i + 1)
+    for step in range(1, n_steps + 1):
+        psi = fft.ifft(drift * fft.fft(psi), overwrite_x=True)
+        psi *= kick(c_mid, 2 * step - 1)
+        psi = fft.ifft(drift * fft.fft(psi), overwrite_x=True)
+        if recording and step % record_every == 0 and step < n_steps:
+            record(step, psi * kick(c_edge, 2 * step))
+        psi *= kick(2.0 * c_edge if step < n_steps else c_edge, 2 * step)
+        if step % 64 == 0:
+            check_leak(2 * step)
             peak = float(np.max(np.abs(psi)))
-    check_leak(n_sub)
+    check_leak(2 * n_steps)
     out = WaveFunction(grid=grid, psi=psi, t=tf)
     if abs(out.norm() - 1.0) > 1e-10:
         raise ConsistencyError(f"norm drifted to {out.norm():.12f}; stepper is not unitary")
@@ -285,10 +284,10 @@ def _coherent_state(protocol: TransportProtocol, grid: SpatialGrid, omega: float
     n_steps = path.times.size - 1
     idx = int(round(t / tf * n_steps))
     v_c = path.xi_dot + path.v0_samples
-    x_c = protocol.x0(path.times / tf) + path.xi
     lagrangian = 0.5 * v_c ** 2 - 0.5 * omega ** 2 * path.xi ** 2
-    phi = float(simpson(lagrangian[: idx + 1], x=path.times[: idx + 1])) if idx > 0 else 0.0
-    xc, vc = float(x_c[idx]), float(v_c[idx])
+    phi = _simpson(lagrangian[: idx + 1], tf / n_steps) if idx > 0 else 0.0
+    xc = float(_structured_samples(protocol, np.array([idx / n_steps]), 2)[0] + path.xi[idx])
+    vc = float(v_c[idx])
     envelope = (omega / math.pi) ** 0.25 * np.exp(-0.5 * omega * (grid.x - xc) ** 2)
     phase = vc * (grid.x - xc) + phi - 0.5 * omega * t
     psi = envelope * np.exp(1j * phase)
@@ -333,7 +332,7 @@ def verification_report(protocol: TransportProtocol, omega: float, n_points=None
         "d": d,
         "n_points": grid.n_points,
         "dt": protocol.dspec.t_f / n_steps,
-        "fft_pairs": 3 * n_steps,
+        "fft_pairs": 2 * n_steps,
         "final_energy_quanta": e_final,
         "delta_e_quanta": delta_q,
         "classical_delta_e_quanta": delta_c,

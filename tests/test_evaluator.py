@@ -16,6 +16,7 @@ from statransport.designer import (
     _exact_tables,
     _term_scales,
     build_trajectory,
+    exact_position,
 )
 from statransport.errors import AccuracyWarning, ResolutionWarning, SpecError
 from statransport.evaluator import (
@@ -303,6 +304,21 @@ def test_mirrored_samples_match_exact_trajectory(m):
                 for i in picks
             ]
             assert np.max(np.abs(got[picks] - exact)) <= 1e-13 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("tf", [2.0 * math.pi * 1.25, 2.0 * math.pi * 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_structured_positions_match_exact_position(n, tf):
+    # the split-operator oracle's trap positions: exact to 1e-10 d up to
+    # N = 4 (measured 1.2e-11) and 1e-7 d at N = 5 (6.9e-9), where the
+    # collapsed monomial x0 is off by 9.8e-8 and 1.2e-4
+    d = 20.0
+    s = np.linspace(0.0, 1.0, 41)
+    for freqs in ((1.0,) * n, tuple(np.linspace(0.9, 1.1, n)) if n > 1 else (1.1,)):
+        p = _protocol(freqs, tf=tf, d=d)
+        exact = np.array([float(exact_position(p, Fraction(float(si)))) for si in s])
+        err = np.max(np.abs(_structured_samples(p, s, 2) - exact))
+        assert err <= (1e-10 if n <= 4 else 1e-7) * d
 
 
 @pytest.mark.parametrize("freqs", [(1.0,), (0.95, 1.0, 1.05), (0.9, 0.97, 1.03, 1.1)])

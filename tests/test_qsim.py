@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
+import statransport
 from statransport.designer import TransportSpec, build_trajectory
 from statransport.errors import BoundaryLeakError, GridError, SpecError
 from statransport.evaluator import classical_simulate, final_excitation
@@ -15,6 +20,7 @@ from statransport.qsim import (
     ground_state,
     make_grid,
     propagate,
+    _simpson,
     verification_report,
 )
 
@@ -134,6 +140,39 @@ def test_split_operator_is_fourth_order():
             for dt in (0.018, 0.009)]
     assert errs[1] > 1e-11  # both still above the floor, so the ratio is the stepper's
     assert errs[0] >= 8.0 * errs[1]
+
+
+def test_split_operator_below_the_collapsed_position_floor():
+    # the collapsed float64 x0 is off the design by up to 1.5e-7 d here;
+    # driven by it the stepper stalled near 4e-10 quanta whatever the step
+    p = _transport(d=20.0, tf=2.0 * math.pi * 1.25, freqs=(1.0,) * 4)
+    w = 1.05
+    end = propagate(p, make_grid(p, w), w, dt=0.00475)
+    assert abs(energy_expectation(end, w, p.dspec.d) - 0.5 - final_excitation(p, w)) <= 1e-10
+
+
+def test_verification_report_passes_small_excitation_design():
+    # 8.5e-6 quanta: a few 1e-8 quanta of stepper error would be a
+    # relative gap above 1e-3 here
+    p = _transport(d=59.47, tf=11.698, freqs=(0.912029803955244,))
+    rep = verification_report(p, omega=0.91180)
+    assert rep["pass"] is True
+    assert rep["quantum_classical_rel_err"] <= 1e-5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 4001])
+def test_simpson_matches_scipy(n):
+    t = np.linspace(0.0, 2.3, n)
+    f = 1.5 + np.sin(3.0 * t) * np.exp(-0.2 * t)
+    assert _simpson(f, 2.3 / (n - 1)) == pytest.approx(float(simpson(f, x=t)), rel=1e-13)
+
+
+def test_package_import_leaves_scipy_integrate_out():
+    src = os.path.dirname(os.path.dirname(statransport.__file__))
+    code = "import sys, statransport, statransport.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_make_grid_covers_path_with_padding():
